@@ -11,8 +11,7 @@
 // registry, HTTP layer, placement simulator and fleet scheduler consume
 // predictions only through it. The serving subsystem exposes a
 // versioned, resource-oriented /v2 HTTP API (hardware-qualified model
-// resources, structured error envelopes, paginated listings) with the
-// flat /v1 endpoints kept as deprecated byte-compatible adapters, and
+// resources, structured error envelopes, paginated listings), and
 // pkg/yalaclient is the supported stdlib-only Go SDK for it.
 // internal/gateway scales the serving tier out: `yala gateway` shards
 // /v2 traffic across N serve replicas by rendezvous hashing on

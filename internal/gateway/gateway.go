@@ -15,12 +15,12 @@
 // retries transparently on the next replica in rank order and clients
 // see zero errors across a replica kill.
 //
-// Mutating custom methods (:reload, /v1/reload) fan out to every
-// replica so no replica serves a stale model; a replica that misses a
-// fan-out while down has the reload queued and replayed by the health
-// loop when it recovers, so it never rejoins stale. :batchPredict
-// scatters its elements to their home replicas in per-replica
-// sub-batches and gathers the responses back in request order.
+// The mutating custom method (:reload) fans out to every replica so no
+// replica serves a stale model; a replica that misses a fan-out while
+// down has the reload queued and replayed by the health loop when it
+// recovers, so it never rejoins stale. :batchPredict scatters its
+// elements to their home replicas in per-replica sub-batches and
+// gathers the responses back in request order.
 //
 // The gateway also keeps an edge response cache (the same sharded LRU
 // the replicas use): deterministic 200s for the model-scoped custom
@@ -145,7 +145,7 @@ type pendingReload struct {
 	seq         uint64
 }
 
-// Gateway routes /v2 (and compatibility /v1) traffic across replicas.
+// Gateway routes /v2 traffic across replicas.
 type Gateway struct {
 	cfg      Config
 	replicas []*replica
@@ -433,7 +433,6 @@ type route struct {
 	key         string // rendezvous key
 	cacheable   bool   // deterministic 200, edge-cacheable
 	fanout      bool   // mutating verb: all replicas
-	v1Reload    bool   // fan-out target comes from the body
 	backend, nf string // fan-out target from the path
 }
 
@@ -447,9 +446,6 @@ type route struct {
 // coherent while health holds.
 func classify(r *http.Request) route {
 	path := r.URL.Path
-	if path == "/v1/reload" && r.Method == http.MethodPost {
-		return route{fanout: true, v1Reload: true}
-	}
 	rest, ok := strings.CutPrefix(path, "/v2/models/")
 	if !ok {
 		return route{key: "path|" + path}
@@ -663,7 +659,7 @@ func (g *Gateway) writeProxyError(w http.ResponseWriter, r *http.Request, err er
 // copyResponseHeaders forwards the replica headers clients key on; hop
 // metadata stays behind.
 func copyResponseHeaders(w http.ResponseWriter, hdr http.Header) {
-	for _, k := range []string{"Content-Type", "X-Request-Id", "Deprecation", "Link", "Allow"} {
+	for _, k := range []string{"Content-Type", "X-Request-Id", "Allow"} {
 		if v := hdr.Get(k); v != "" {
 			w.Header().Set(k, v)
 		}
@@ -823,19 +819,6 @@ func (g *Gateway) sendWire(ctx context.Context, ep *endpoint, wp *wire.Pool, met
 // invalid on all), and a 503 only when nothing answered.
 func (g *Gateway) fanoutReload(w http.ResponseWriter, r *http.Request, rt route, body []byte) {
 	backendName, nfName := rt.backend, rt.nf
-	if rt.v1Reload {
-		var req struct {
-			NF      string `json:"nf"`
-			Backend string `json:"backend"`
-		}
-		if len(bytes.TrimSpace(body)) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
-				g.writeError(w, http.StatusBadRequest, "invalid_argument", "decoding reload body: "+err.Error())
-				return
-			}
-		}
-		backendName, nfName = req.Backend, req.NF
-	}
 	if backendName == "" {
 		backendName = yalaclient.DefaultBackend
 	}

@@ -1,13 +1,13 @@
 package serve
 
-// Contract tests for the v1→v2 API transition: the /v1 adapters and the
-// /v2 resource API must return identical logical results for the same
-// scenario, every /v1 response must carry the Deprecation header, and
-// the /v2 error envelope and paginated model listing are pinned by
-// golden JSON fixtures (regenerate with `go test ./internal/serve -run
-// TestV2Golden -update`).
+// Contract tests for the /v2 API: each resource answers exactly what the
+// in-process Service method returns for the same scenario, and the /v2
+// error envelope and paginated model listing are pinned by golden JSON
+// fixtures (regenerate with `go test ./internal/serve -run TestV2Golden
+// -update`).
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
@@ -18,6 +18,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 var update = flag.Bool("update", false, "rewrite golden /v2 fixtures")
@@ -59,107 +61,123 @@ func roundTrip(t *testing.T, ts *httptest.Server, method, path, body string) (*h
 	return resp, data
 }
 
-// TestV1V2Contract is the table-driven equivalence suite: each case
-// names a /v1 call and its /v2 counterpart; both must return the same
-// status and the same canonical JSON body.
-func TestV1V2Contract(t *testing.T) {
-	ts := testServer(t)
+// TestV2Contract is the table-driven contract suite: each case names a
+// /v2 call and the in-process Service call for the same scenario; a 200
+// body must equal the service answer as canonical JSON, and an error
+// must carry the structured envelope. Every response carries an
+// X-Request-Id and no Deprecation header.
+func TestV2Contract(t *testing.T) {
+	svc, ts := testServerSvc(t)
+	ctx := context.Background()
 	cases := []struct {
-		name           string
-		v1Path, v1Body string
-		v2Path, v2Body string
+		name               string
+		method, path, body string
+		status             int
+		direct             func() (any, error) // nil for error cases
 	}{
 		{
 			name:   "predict default backend",
-			v1Path: "/v1/predict", v1Body: `{"nf":"FlowStats","competitors":[{"name":"ACL"}]}`,
-			v2Path: "/v2/models/FlowStats/yala:predict", v2Body: `{"competitors":[{"name":"ACL"}]}`,
+			method: "POST", path: "/v2/models/FlowStats/yala:predict", body: `{"competitors":[{"name":"ACL"}]}`,
+			status: http.StatusOK,
+			direct: func() (any, error) {
+				return svc.Predict(ctx, PredictRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}})
+			},
 		},
 		{
 			name:   "predict slomo with profile",
-			v1Path: "/v1/predict", v1Body: `{"nf":"ACL","backend":"slomo","profile":{"flows":64000},"competitors":[{"name":"FlowStats"}]}`,
-			v2Path: "/v2/models/ACL/slomo:predict", v2Body: `{"profile":{"flows":64000},"competitors":[{"name":"FlowStats"}]}`,
+			method: "POST", path: "/v2/models/ACL/slomo:predict", body: `{"profile":{"flows":64000},"competitors":[{"name":"FlowStats"}]}`,
+			status: http.StatusOK,
+			direct: func() (any, error) {
+				return svc.Predict(ctx, PredictRequest{NF: "ACL", Backend: "slomo", Profile: ProfileSpec{Flows: 64000}, Competitors: []CompetitorSpec{{Name: "FlowStats"}}})
+			},
 		},
 		{
 			name:   "batch",
-			v1Path: "/v1/predict/batch", v1Body: `{"requests":[{"nf":"FlowStats"},{"nf":"ACL","competitors":[{"name":"FlowStats"}]}]}`,
-			v2Path: "/v2/models:batchPredict", v2Body: `{"requests":[{"model":"FlowStats"},{"model":"ACL","competitors":[{"name":"FlowStats"}]}]}`,
+			method: "POST", path: "/v2/models:batchPredict", body: `{"requests":[{"model":"FlowStats"},{"model":"ACL","competitors":[{"name":"FlowStats"}]}]}`,
+			status: http.StatusOK,
+			direct: func() (any, error) {
+				return svc.PredictBatch(ctx, BatchRequest{Requests: []PredictRequest{
+					{NF: "FlowStats"},
+					{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}},
+				}})
+			},
 		},
 		{
 			name:   "compare",
-			v1Path: "/v1/compare", v1Body: `{"nf":"FlowStats","competitors":[{"name":"ACL"}]}`,
-			v2Path: "/v2/models/FlowStats:compare", v2Body: `{"competitors":[{"name":"ACL"}]}`,
+			method: "POST", path: "/v2/models/FlowStats:compare", body: `{"competitors":[{"name":"ACL"}]}`,
+			status: http.StatusOK,
+			direct: func() (any, error) {
+				return svc.Compare(ctx, CompareRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}})
+			},
 		},
 		{
 			name:   "diagnose",
-			v1Path: "/v1/diagnose", v1Body: `{"nf":"FlowStats","competitors":[{"name":"ACL"}]}`,
-			v2Path: "/v2/models/FlowStats:diagnose", v2Body: `{"competitors":[{"name":"ACL"}]}`,
+			method: "POST", path: "/v2/models/FlowStats:diagnose", body: `{"competitors":[{"name":"ACL"}]}`,
+			status: http.StatusOK,
+			direct: func() (any, error) {
+				return svc.Diagnose(ctx, DiagnoseRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}})
+			},
 		},
 		{
 			name:   "admit",
-			v1Path: "/v1/admit", v1Body: `{"residents":[{"name":"ACL","sla":0.9}],"candidate":{"name":"FlowStats","sla":0.9}}`,
-			v2Path: "/v2/models/FlowStats/yala:admit", v2Body: `{"residents":[{"name":"ACL","sla":0.9}],"sla":0.9}`,
+			method: "POST", path: "/v2/models/FlowStats/yala:admit", body: `{"residents":[{"name":"ACL","sla":0.9}],"sla":0.9}`,
+			status: http.StatusOK,
+			direct: func() (any, error) {
+				return svc.Admit(ctx, AdmitRequest{Residents: []ColoNF{{Name: "ACL", SLA: 0.9}}, Candidate: ColoNF{Name: "FlowStats", SLA: 0.9}})
+			},
 		},
 		{
 			name:   "admit rejected on cores",
-			v1Path: "/v1/admit", v1Body: `{"residents":[{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1}],"candidate":{"name":"ACL","sla":1}}`,
-			v2Path: "/v2/models/ACL/yala:admit", v2Body: `{"residents":[{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1}],"sla":1}`,
+			method: "POST", path: "/v2/models/ACL/yala:admit", body: `{"residents":[{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1},{"name":"ACL","sla":1}],"sla":1}`,
+			status: http.StatusOK,
+			direct: func() (any, error) {
+				full := []ColoNF{{Name: "ACL", SLA: 1}, {Name: "ACL", SLA: 1}, {Name: "ACL", SLA: 1}, {Name: "ACL", SLA: 1}}
+				return svc.Admit(ctx, AdmitRequest{Residents: full, Candidate: ColoNF{Name: "ACL", SLA: 1}})
+			},
 		},
 		{
-			name:   "bad request statuses agree",
-			v1Path: "/v1/predict", v1Body: `{"nf":"NoSuchNF"}`,
-			v2Path: "/v2/models/NoSuchNF/yala:predict", v2Body: `{}`,
+			name:   "cluster policies",
+			method: "GET", path: "/v2/cluster/policies",
+			status: http.StatusOK,
+			direct: func() (any, error) { return ClusterPoliciesResponse{Policies: cluster.Policies()}, nil },
+		},
+		{
+			name:   "bad request",
+			method: "POST", path: "/v2/models/NoSuchNF/yala:predict", body: `{}`,
+			status: http.StatusBadRequest,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r1, b1 := roundTrip(t, ts, "POST", tc.v1Path, tc.v1Body)
-			r2, b2 := roundTrip(t, ts, "POST", tc.v2Path, tc.v2Body)
-			if r1.StatusCode != r2.StatusCode {
-				t.Fatalf("status diverged: v1 %d, v2 %d\nv1 %s\nv2 %s", r1.StatusCode, r2.StatusCode, b1, b2)
+			resp, body := roundTrip(t, ts, tc.method, tc.path, tc.body)
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.status, body)
 			}
-			if r1.StatusCode != http.StatusOK {
-				// Error bodies use different envelopes by design; the
-				// contract is the status code and that both name the cause.
+			if rid := resp.Header.Get("X-Request-Id"); rid == "" {
+				t.Error("missing X-Request-Id")
+			}
+			if dep := resp.Header.Get("Deprecation"); dep != "" {
+				t.Errorf("unexpected Deprecation header %q", dep)
+			}
+			if tc.direct == nil {
+				var env errorBodyV2
+				if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != codeInvalidArgument || env.Error.Message == "" {
+					t.Fatalf("body %s is not an invalid_argument envelope", body)
+				}
 				return
 			}
-			if got, want := canonJSON(t, b2), canonJSON(t, b1); got != want {
-				t.Fatalf("body diverged:\nv1 %s\nv2 %s", want, got)
+			want, err := tc.direct()
+			if err != nil {
+				t.Fatalf("in-process call: %v", err)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := canonJSON(t, body), canonJSON(t, wantJSON); got != want {
+				t.Fatalf("HTTP body diverged from the service answer:\nservice %s\nhttp    %s", want, got)
 			}
 		})
-	}
-}
-
-// TestV1DeprecationHeaders asserts every /v1 route advertises its
-// deprecation and /v2 successor — the CI smoke gates on this.
-func TestV1DeprecationHeaders(t *testing.T) {
-	ts := testServer(t)
-	routes := []struct{ method, path, body string }{
-		{"POST", "/v1/predict", `{"nf":"FlowStats"}`},
-		{"POST", "/v1/predict/batch", `{"requests":[{"nf":"FlowStats"}]}`},
-		{"POST", "/v1/compare", `{"nf":"FlowStats"}`},
-		{"POST", "/v1/admit", `{"candidate":{"name":"FlowStats","sla":0.5}}`},
-		{"POST", "/v1/diagnose", `{"nf":"FlowStats"}`},
-		{"POST", "/v1/reload", `{"nf":"FlowStats"}`},
-		{"GET", "/v1/models", ""},
-		{"GET", "/v1/stats", ""},
-		{"GET", "/v1/cluster/policies", ""},
-	}
-	for _, rt := range routes {
-		resp, _ := roundTrip(t, ts, rt.method, rt.path, rt.body)
-		if dep := resp.Header.Get("Deprecation"); dep != "true" {
-			t.Errorf("%s %s: Deprecation header %q, want \"true\"", rt.method, rt.path, dep)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "successor-version") {
-			t.Errorf("%s %s: Link header %q lacks successor-version", rt.method, rt.path, link)
-		}
-		if rid := resp.Header.Get("X-Request-Id"); rid == "" {
-			t.Errorf("%s %s: missing X-Request-Id", rt.method, rt.path)
-		}
-	}
-	// /v2 responses must NOT be marked deprecated.
-	resp, _ := roundTrip(t, ts, "GET", "/v2/models", "")
-	if dep := resp.Header.Get("Deprecation"); dep != "" {
-		t.Errorf("/v2/models: unexpected Deprecation header %q", dep)
 	}
 }
 

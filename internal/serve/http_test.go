@@ -33,6 +33,14 @@ func TestMain(m *testing.M) {
 // training config and the shared model directory.
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
+	_, ts := testServerSvc(t)
+	return ts
+}
+
+// testServerSvc is testServer that also hands back the service, for
+// tests that compare HTTP answers with in-process calls.
+func testServerSvc(t *testing.T) (*Service, *httptest.Server) {
+	t.Helper()
 	httpModelDirOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "serve-http-models-")
 		if err != nil {
@@ -50,7 +58,7 @@ func testServer(t *testing.T) *httptest.Server {
 	t.Cleanup(svc.Close)
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return svc, ts
 }
 
 // postRaw round-trips a raw JSON body and returns (status, body).
@@ -69,8 +77,8 @@ func postRaw(t *testing.T, ts *httptest.Server, path, body string) (int, string)
 }
 
 // postAs posts a typed request and decodes the 200 response into Resp —
-// the raw-HTTP stand-in for the removed internal client (the public SDK
-// in pkg/yalaclient speaks /v2; these tests pin /v1).
+// raw HTTP, so these tests pin the /v2 wire contract independently of
+// the public SDK in pkg/yalaclient.
 func postAs[Resp any](t *testing.T, ts *httptest.Server, path string, req any) Resp {
 	t.Helper()
 	body, err := json.Marshal(req)
@@ -112,12 +120,28 @@ func getAs[Resp any](t *testing.T, ts *httptest.Server, path string) Resp {
 
 func TestHTTPPredict(t *testing.T) {
 	ts := testServer(t)
-	resp := postAs[PredictResponse](t, ts, "/v1/predict", PredictRequest{
-		NF:          "FlowStats",
+	resp := postAs[PredictResponse](t, ts, "/v2/models/FlowStats/yala:predict", predictParamsV2{
 		Competitors: []CompetitorSpec{{Name: "ACL"}},
 	})
 	if resp.NF != "FlowStats" || resp.SoloPPS <= 0 || resp.PredictedPPS <= 0 {
 		t.Fatalf("implausible prediction: %+v", resp)
+	}
+}
+
+// checkInvalidArgument asserts a 400 whose structured envelope carries
+// the invalid_argument code and a message naming the problem.
+func checkInvalidArgument(t *testing.T, name string, status int, body, wantMsg string) {
+	t.Helper()
+	if status != http.StatusBadRequest {
+		t.Errorf("%s: status %d, want 400 (body %s)", name, status, body)
+		return
+	}
+	var env errorBodyV2
+	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error.Code != codeInvalidArgument {
+		t.Errorf("%s: body %q is not an invalid_argument envelope", name, body)
+	}
+	if !strings.Contains(env.Error.Message, wantMsg) {
+		t.Errorf("%s: message %q does not mention %q", name, env.Error.Message, wantMsg)
 	}
 }
 
@@ -127,76 +151,67 @@ func TestHTTPPredict(t *testing.T) {
 func TestHTTPPredictBadRequest(t *testing.T) {
 	ts := testServer(t)
 	cases := []struct {
-		name, body, wantMsg string
+		name, path, body, wantMsg string
 	}{
-		{"unknown nf", `{"nf":"NoSuchNF"}`, "unknown NF"},
-		{"missing nf", `{}`, "missing NF name"},
-		{"unknown competitor", `{"nf":"FlowStats","competitors":[{"name":"Bogus"}]}`, "unknown NF"},
-		{"negative flows", `{"nf":"FlowStats","profile":{"flows":-5}}`, "flows"},
-		{"oversized pktsize", `{"nf":"FlowStats","profile":{"pktsize":100000}}`, "pktsize"},
-		{"negative mtbr", `{"nf":"FlowStats","profile":{"mtbr":-1}}`, "mtbr"},
-		{"unknown backend", `{"nf":"FlowStats","backend":"magic"}`, "unknown backend"},
+		{"unknown nf", "/v2/models/NoSuchNF/yala:predict", `{}`, "unknown NF"},
+		{"missing nf", "/v2/models/@pensando/yala:predict", `{}`, "want <nf>"},
+		{"unknown competitor", "/v2/models/FlowStats/yala:predict", `{"competitors":[{"name":"Bogus"}]}`, "unknown NF"},
+		{"negative flows", "/v2/models/FlowStats/yala:predict", `{"profile":{"flows":-5}}`, "flows"},
+		{"oversized pktsize", "/v2/models/FlowStats/yala:predict", `{"profile":{"pktsize":100000}}`, "pktsize"},
+		{"negative mtbr", "/v2/models/FlowStats/yala:predict", `{"profile":{"mtbr":-1}}`, "mtbr"},
+		{"unknown backend", "/v2/models/FlowStats/magic:predict", `{}`, "unknown backend"},
 	}
 	for _, tc := range cases {
-		status, body := postRaw(t, ts, "/v1/predict", tc.body)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, status, body)
-		}
-		if !strings.Contains(body, tc.wantMsg) {
-			t.Errorf("%s: body %q does not mention %q", tc.name, body, tc.wantMsg)
-		}
+		status, body := postRaw(t, ts, tc.path, tc.body)
+		checkInvalidArgument(t, tc.name, status, body, tc.wantMsg)
 	}
 }
 
 func TestHTTPPredictBatch(t *testing.T) {
 	ts := testServer(t)
-	resp := postAs[BatchResponse](t, ts, "/v1/predict/batch", BatchRequest{Requests: []PredictRequest{
-		{NF: "FlowStats"},
-		{NF: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}},
+	resp := postAs[BatchResponse](t, ts, "/v2/models:batchPredict", batchParamsV2{Requests: []batchItemV2{
+		{Model: "FlowStats"},
+		{Model: "ACL", Competitors: []CompetitorSpec{{Name: "FlowStats"}}},
 	}})
 	if len(resp.Responses) != 2 || len(resp.Errors) != 0 {
 		t.Fatalf("batch response: %+v", resp)
 	}
-	// A malformed element fails the whole batch with 400 and an index.
-	status, body := postRaw(t, ts, "/v1/predict/batch",
-		`{"requests":[{"nf":"FlowStats"},{"nf":"NoSuchNF"}]}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("bad batch element: status %d, want 400 (body %s)", status, body)
-	}
-	if !strings.Contains(body, "requests[1]") {
-		t.Fatalf("bad batch element: body %q does not name the element", body)
-	}
+	// A malformed element fails the whole batch with 400 and an index,
+	// whether the service or the model-ID parser rejects it.
+	status, body := postRaw(t, ts, "/v2/models:batchPredict",
+		`{"requests":[{"model":"FlowStats"},{"model":"NoSuchNF"}]}`)
+	checkInvalidArgument(t, "unknown nf element", status, body, "requests[1]")
+	status, body = postRaw(t, ts, "/v2/models:batchPredict",
+		`{"requests":[{"model":"FlowStats"},{"model":""}]}`)
+	checkInvalidArgument(t, "missing model element", status, body, "requests[1]")
 }
 
 func TestHTTPCompareAdmitDiagnose(t *testing.T) {
 	ts := testServer(t)
-	cmp := postAs[CompareResponse](t, ts, "/v1/compare", CompareRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}})
+	cmp := postAs[CompareResponse](t, ts, "/v2/models/FlowStats:compare", compareParamsV2{Competitors: []CompetitorSpec{{Name: "ACL"}}})
 	if cmp.Yala.PredictedPPS <= 0 || cmp.SLOMO.PredictedPPS <= 0 {
 		t.Fatalf("implausible compare: %+v", cmp)
 	}
-	adm := postAs[AdmitResponse](t, ts, "/v1/admit", AdmitRequest{
+	adm := postAs[AdmitResponse](t, ts, "/v2/models/FlowStats/yala:admit", admitParamsV2{
 		Residents: []ColoNF{{Name: "ACL", SLA: 0.9}},
-		Candidate: ColoNF{Name: "FlowStats", SLA: 0.9},
+		SLA:       0.9,
 	})
 	if adm.Residents != 1 {
 		t.Fatalf("admit response: %+v", adm)
 	}
-	diag := postAs[DiagnoseResponse](t, ts, "/v1/diagnose", DiagnoseRequest{NF: "FlowStats", Competitors: []CompetitorSpec{{Name: "ACL"}}})
+	diag := postAs[DiagnoseResponse](t, ts, "/v2/models/FlowStats:diagnose", predictParamsV2{Competitors: []CompetitorSpec{{Name: "ACL"}}})
 	if diag.Bottleneck == "" {
 		t.Fatalf("diagnose response: %+v", diag)
 	}
 	// Admission validation: an out-of-range SLA is a 400.
-	status, body := postRaw(t, ts, "/v1/admit",
-		`{"candidate":{"name":"FlowStats","sla":1.5}}`)
-	if status != http.StatusBadRequest || !strings.Contains(body, "SLA") {
-		t.Fatalf("bad admit SLA: status %d body %s", status, body)
-	}
+	status, body := postRaw(t, ts, "/v2/models/FlowStats/yala:admit", `{"sla":1.5}`)
+	checkInvalidArgument(t, "bad admit SLA", status, body, "SLA")
 }
 
 func TestHTTPStatsModelsHealthz(t *testing.T) {
 	ts := testServer(t)
-	postAs[PredictResponse](t, ts, "/v1/predict", PredictRequest{NF: "FlowStats"})
-	stats := getAs[ServiceStats](t, ts, "/v1/stats")
+	postAs[PredictResponse](t, ts, "/v2/models/FlowStats/yala:predict", predictParamsV2{})
+	stats := getAs[statsV2](t, ts, "/v2/stats")
 	if stats.Requests["predict"] != 1 || len(stats.Models) == 0 {
 		t.Fatalf("stats: %+v", stats)
 	}
@@ -208,8 +223,8 @@ func TestHTTPStatsModelsHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	models := getAs[[]ModelInfo](t, ts, "/v1/models")
-	if len(models) == 0 {
+	models := getAs[modelsPageV2](t, ts, "/v2/models")
+	if len(models.Models) == 0 {
 		t.Fatal("model listing empty after a predict")
 	}
 }
@@ -218,63 +233,52 @@ func TestHTTPStatsModelsHealthz(t *testing.T) {
 // unknown backends and unknown NFs are 400s, not silent no-ops.
 func TestHTTPReloadValidation(t *testing.T) {
 	ts := testServer(t)
-	status, body := postRaw(t, ts, "/v1/reload", `{"nf":"FlowStats","backend":"wat"}`)
-	if status != http.StatusBadRequest || !strings.Contains(body, "unknown backend") {
-		t.Fatalf("unknown backend reload: status %d body %s", status, body)
-	}
-	status, body = postRaw(t, ts, "/v1/reload", `{"nf":"NoSuchNF"}`)
-	if status != http.StatusBadRequest || !strings.Contains(body, "unknown NF") {
-		t.Fatalf("unknown NF reload: status %d body %s", status, body)
-	}
-	status, _ = postRaw(t, ts, "/v1/reload", `{"nf":"FlowStats"}`)
+	status, body := postRaw(t, ts, "/v2/models/FlowStats/wat:reload", "")
+	checkInvalidArgument(t, "unknown backend reload", status, body, "unknown backend")
+	status, body = postRaw(t, ts, "/v2/models/NoSuchNF/yala:reload", "")
+	checkInvalidArgument(t, "unknown NF reload", status, body, "unknown NF")
+	status, body = postRaw(t, ts, "/v2/models/FlowStats/yala:reload", "")
 	if status != http.StatusOK {
-		t.Fatalf("valid reload: status %d", status)
+		t.Fatalf("valid reload: status %d body %s", status, body)
 	}
 }
 
-// TestHTTPErrorEnvelopeEverywhere asserts no /v1 error path falls
-// through to net/http's plain-text responses: wrong methods and unknown
-// routes both return JSON envelopes.
+// TestHTTPErrorEnvelopeEverywhere asserts no error path falls through
+// to net/http's plain-text responses: wrong methods, unknown routes and
+// the retired /v1 paths all return the structured envelope.
 func TestHTTPErrorEnvelopeEverywhere(t *testing.T) {
 	ts := testServer(t)
-	// Wrong method on a /v1 route → 405 with the flat envelope.
-	resp, err := http.Get(ts.URL + "/v1/predict")
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		method, path string
+		status       int
+		code, allow  string
+	}{
+		// Wrong method on a /v2 route → 405 naming the allowed method.
+		{"GET", "/v2/models/FlowStats/yala:predict", http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST"},
+		{"POST", "/v2/stats", http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET"},
+		// Unknown route → 404.
+		{"GET", "/v2/nope", http.StatusNotFound, codeNotFound, ""},
+		// The /v1 API is gone: its paths are unknown routes now.
+		{"POST", "/v1/predict", http.StatusNotFound, codeNotFound, ""},
 	}
-	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/predict: status %d, want 405", resp.StatusCode)
-	}
-	var flat struct {
-		Error string `json:"error"`
-	}
-	if err := json.Unmarshal(data, &flat); err != nil || flat.Error == "" {
-		t.Fatalf("GET /v1/predict: body %q is not the /v1 error envelope", data)
-	}
-	if allow := resp.Header.Get("Allow"); allow != "POST" {
-		t.Fatalf("GET /v1/predict: Allow %q, want POST", allow)
-	}
-	// Unknown route → structured 404.
-	resp, err = http.Get(ts.URL + "/v1/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /v1/nope: status %d, want 404", resp.StatusCode)
-	}
-	var v2 errorBodyV2
-	if err := json.Unmarshal(data, &v2); err != nil || v2.Error.Code != codeNotFound {
-		t.Fatalf("GET /v1/nope: body %q is not the structured envelope", data)
+	for _, tc := range cases {
+		resp, data := roundTrip(t, ts, tc.method, tc.path, "")
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.status)
+		}
+		var env errorBodyV2
+		if err := json.Unmarshal(data, &env); err != nil || env.Error.Code != tc.code || env.Error.RequestID == "" {
+			t.Errorf("%s %s: body %q is not a %s envelope with a request id", tc.method, tc.path, data, tc.code)
+		}
+		if allow := resp.Header.Get("Allow"); allow != tc.allow {
+			t.Errorf("%s %s: Allow %q, want %q", tc.method, tc.path, allow, tc.allow)
+		}
 	}
 }
 
 func TestHTTPClusterPolicies(t *testing.T) {
 	ts := testServer(t)
-	resp, err := http.Get(ts.URL + "/v1/cluster/policies")
+	resp, err := http.Get(ts.URL + "/v2/cluster/policies")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +300,7 @@ func TestHTTPClusterPolicies(t *testing.T) {
 func TestHTTPClusterRun(t *testing.T) {
 	ts := testServer(t)
 	drift := 0.5
-	cmp := postAs[cluster.Comparison](t, ts, "/v1/cluster/run", ClusterRunRequest{
+	cmp := postAs[cluster.Comparison](t, ts, "/v2/cluster/runs", ClusterRunRequest{
 		NICs:      2,
 		Arrivals:  6,
 		Seed:      3,
@@ -334,12 +338,7 @@ func TestHTTPClusterRunBadRequest(t *testing.T) {
 		{"negative iat", `{"mean_iat":-5}`, "mean_iat"},
 	}
 	for _, tc := range cases {
-		status, body := postRaw(t, ts, "/v1/cluster/run", tc.body)
-		if status != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, status, body)
-		}
-		if !strings.Contains(body, tc.wantMsg) {
-			t.Errorf("%s: body %q does not mention %q", tc.name, body, tc.wantMsg)
-		}
+		status, body := postRaw(t, ts, "/v2/cluster/runs", tc.body)
+		checkInvalidArgument(t, tc.name, status, body, tc.wantMsg)
 	}
 }

@@ -221,15 +221,15 @@ type (
 	ingestParamsV2 struct {
 		Measurements []ingestItemV2 `json:"measurements"`
 	}
-	// modelInfoV2 wraps the /v1 listing entry with its resource ID.
+	// modelInfoV2 wraps a registry listing entry with its resource ID.
 	modelInfoV2 struct {
 		ID string `json:"id"`
 		ModelInfo
 	}
-	// statsV2 wraps the frozen /v1 stats shape with the registered
+	// statsV2 wraps the frozen ServiceStats shape with the registered
 	// backend list — additions land here, never on ServiceStats.
-	// UptimeSeconds duplicates the /v1 uptime_sec under the documented
-	// /v2 name; StartTime (Unix seconds) is the monotonic anchor a
+	// UptimeSeconds duplicates ServiceStats' uptime_sec under the
+	// documented /v2 name; StartTime (Unix seconds) is the monotonic anchor a
 	// gateway aggregates by (min across replicas — uptimes must never
 	// be summed).
 	statsV2 struct {

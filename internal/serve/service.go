@@ -441,7 +441,7 @@ type PredictRequest struct {
 }
 
 // PredictResponse is the predictor's answer. HW is set only for
-// hardware-qualified (/v2) requests, so the /v1 wire shape is unchanged.
+// hardware-qualified requests (model IDs of the form <nf>@<hw>).
 type PredictResponse struct {
 	NF           string      `json:"nf"`
 	HW           string      `json:"hw,omitempty"`
@@ -456,8 +456,9 @@ type PredictResponse struct {
 }
 
 // predictKey is the shared cache key for one prediction scenario;
-// Compare and Diagnose derive from the same entries, and /v1 and /v2
-// requests for the default hardware share them too (hw = "").
+// Compare and Diagnose derive from the same entries, and every front
+// door (HTTP, wire, in-process) shares them for the default hardware
+// (hw = "").
 func predictKey(backendName Backend, hw, name string, prof traffic.Profile, comps []CompetitorSpec) string {
 	return fmt.Sprintf("predict|%s|%s|%s", backendName, hw, scenarioKey(name, prof, comps))
 }
@@ -480,7 +481,7 @@ func (s *Service) predictCached(backendName Backend, hw, name string, prof traff
 }
 
 // Predict estimates throughput for the request's scenario on the default
-// hardware — the /v1 entry point.
+// hardware.
 func (s *Service) Predict(ctx context.Context, req PredictRequest) (PredictResponse, error) {
 	return s.PredictOn(ctx, "", req)
 }
@@ -597,15 +598,15 @@ type BatchResponse struct {
 }
 
 // hwPredict is one batch element with its hardware qualifier resolved —
-// /v1 elements always carry "", /v2 elements parse theirs from the
-// model ID.
+// PredictBatch elements always carry "", /v2 elements parse theirs from
+// the model ID.
 type hwPredict struct {
 	hw  string
 	req PredictRequest
 }
 
 // PredictBatch serves every scenario in the batch, each through the
-// cache — the /v1 entry point (default hardware throughout).
+// cache, on the default hardware throughout.
 func (s *Service) PredictBatch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
 	items := make([]hwPredict, len(req.Requests))
 	for i, r := range req.Requests {
@@ -674,7 +675,8 @@ type CompareResponse struct {
 	SLOMOErrPct float64 `json:"slomo_err_pct,omitempty"`
 }
 
-// Compare runs both predictors on the same scenario — /v1 entry point.
+// Compare runs both predictors on the same scenario on the default
+// hardware.
 func (s *Service) Compare(ctx context.Context, req CompareRequest) (CompareResponse, error) {
 	return s.CompareOn(ctx, "", req)
 }
@@ -813,7 +815,8 @@ type AdmitResponse struct {
 	Reason    string  `json:"reason,omitempty"`
 }
 
-// Admit answers an online admission-control query — /v1 entry point.
+// Admit answers an online admission-control query on the default
+// hardware.
 func (s *Service) Admit(ctx context.Context, req AdmitRequest) (AdmitResponse, error) {
 	return s.AdmitOn(ctx, "", req)
 }
@@ -981,8 +984,8 @@ type DiagnoseResponse struct {
 	PerResourcePPS map[string]float64 `json:"per_resource_pps"`
 }
 
-// Diagnose attributes the scenario's predicted slowdown to a resource —
-// /v1 entry point.
+// Diagnose attributes the scenario's predicted slowdown to a resource
+// on the default hardware.
 func (s *Service) Diagnose(ctx context.Context, req DiagnoseRequest) (DiagnoseResponse, error) {
 	return s.DiagnoseOn(ctx, "", req)
 }
@@ -1032,9 +1035,9 @@ func diagnoseFrom(pred PredictResponse) DiagnoseResponse {
 	return resp
 }
 
-// ServiceStats is the operator-facing counter snapshot. The shape is
-// the frozen /v1 wire form; /v2 wraps it with the registered-backend
-// list (statsV2).
+// ServiceStats is the operator-facing counter snapshot. Its shape is
+// frozen; /v2/stats wraps it with the registered-backend list and the
+// other additions (statsV2).
 type ServiceStats struct {
 	UptimeSec       float64           `json:"uptime_sec"`
 	Workers         int               `json:"workers"`

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -213,8 +215,9 @@ func (ws *WireServer) observeWire(tr *obs.Trace, dur time.Duration) {
 }
 
 // toWireResponse converts a service response to its wire shape.
-// PerResourcePPS iterates a map; the slice order is not significant to
-// clients (the JSON shape is a map too).
+// PerResource is sorted by resource name so one answer always encodes
+// to the same bytes (PerResourcePPS is a map, whose iteration order is
+// random).
 func toWireResponse(r *PredictResponse) wire.PredictResponse {
 	out := wire.PredictResponse{
 		NF:      r.NF,
@@ -234,6 +237,9 @@ func toWireResponse(r *PredictResponse) wire.PredictResponse {
 		for res, pps := range r.PerResourcePPS {
 			out.PerResource = append(out.PerResource, wire.ResourcePPS{Resource: res, PPS: pps})
 		}
+		slices.SortFunc(out.PerResource, func(a, b wire.ResourcePPS) int {
+			return strings.Compare(a.Resource, b.Resource)
+		})
 	}
 	return out
 }
@@ -344,7 +350,7 @@ func (ws *WireServer) serveBatch(fr *wire.Framer, f wire.Frame, apiKey string) b
 // callForwardHeaders are the response headers a TypeCallResp carries
 // back — the same set the gateway forwards downstream, plus
 // Retry-After so wire clients see 429 backoff hints.
-var callForwardHeaders = []string{"Content-Type", "X-Request-Id", "Deprecation", "Link", "Allow", "Retry-After", "X-Gateway-Cache"}
+var callForwardHeaders = []string{"Content-Type", "X-Request-Id", "Allow", "Retry-After", "X-Gateway-Cache"}
 
 // memResponse is the in-memory http.ResponseWriter TypeCall dispatch
 // renders into.

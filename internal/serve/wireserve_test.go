@@ -285,3 +285,29 @@ func TestCanceledRequestsKeepGateIdle(t *testing.T) {
 		t.Fatalf("exposition missing the canceled counter:\n%s", sb.String())
 	}
 }
+
+// TestWirePredictBytesStable: one multi-resource answer must encode to
+// the same wire bytes every time, although PerResourcePPS is a map.
+func TestWirePredictBytesStable(t *testing.T) {
+	resp := PredictResponse{
+		NF: "FlowStats", Backend: BackendYala,
+		SoloPPS: 2e6, PredictedPPS: 1.2e6, Bottleneck: "mem_bw",
+		PerResourcePPS: map[string]float64{
+			"cpu": 3e6, "mem_bw": 1.2e6, "llc": 1.9e6, "regex": 5e6,
+			"crypto": 4e6, "compress": 6e6, "emem": 2.2e6, "imem": 2.5e6,
+		},
+	}
+	wr := toWireResponse(&resp)
+	want := wire.AppendPredictResponse(nil, &wr)
+	for i := 0; i < 200; i++ {
+		wr := toWireResponse(&resp)
+		if got := wire.AppendPredictResponse(nil, &wr); string(got) != string(want) {
+			t.Fatalf("encoding %d differs:\nwant %x\n got %x", i, want, got)
+		}
+	}
+	for i := 1; i < len(wr.PerResource); i++ {
+		if wr.PerResource[i-1].Resource >= wr.PerResource[i].Resource {
+			t.Fatalf("PerResource not sorted by name: %+v", wr.PerResource)
+		}
+	}
+}

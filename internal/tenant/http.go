@@ -36,8 +36,6 @@ func KeyFromRequest(r *http.Request) string {
 // cluster endpoints are bulk, everything else interactive.
 func ClassifyPath(path string) Class {
 	if strings.HasSuffix(path, ":batchPredict") ||
-		path == "/v1/predict/batch" ||
-		path == "/v1/cluster/run" ||
 		strings.HasPrefix(path, "/v2/cluster/runs") {
 		return ClassBulk
 	}

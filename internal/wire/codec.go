@@ -90,8 +90,8 @@ type Call struct {
 }
 
 // CallResp is a Call's answer: status, the response headers the
-// gateway forwards (Content-Type, X-Request-Id, deprecation trio), and
-// the raw body.
+// gateway forwards (Content-Type, X-Request-Id, Allow, Retry-After),
+// and the raw body.
 type CallResp struct {
 	Status  int
 	Headers []HeaderKV

@@ -71,18 +71,47 @@ func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 	}
 }
 
-func TestPredictRequestRoundTrip(t *testing.T) {
-	mtbr := 12.5
-	in := PredictRequest{
+// Codec fixtures: one populated value per payload type, shared by the
+// round-trip tests and the FuzzDecode seed corpus.
+var (
+	fixtureMTBR           = 12.5
+	fixturePredictRequest = PredictRequest{
 		NF:      "FlowStats",
 		HW:      "bluefield2",
 		Backend: "yala",
-		Profile: Profile{Flows: 1000, PktSize: 512, MTBR: &mtbr},
+		Profile: Profile{Flows: 1000, PktSize: 512, MTBR: &fixtureMTBR},
 		Competitors: []Competitor{
 			{Name: "ACL", Profile: Profile{Flows: 200}},
 			{Name: "NAT"},
 		},
 	}
+	fixturePredictResponse = PredictResponse{
+		NF:           "ACL",
+		Backend:      "slomo",
+		Profile:      Profile{Flows: 5000, PktSize: 1500},
+		SoloPPS:      1.5e6,
+		PredictedPPS: 7.2e5,
+		Bottleneck:   "dram",
+		PerResource: []ResourcePPS{
+			{Resource: "dram", PPS: 7.2e5},
+			{Resource: "llc", PPS: 9e5},
+		},
+	}
+	fixtureBatchRequest = BatchRequest{Requests: []PredictRequest{
+		{NF: "A", Backend: "yala"},
+		{NF: "B", Backend: "slomo", Profile: Profile{Flows: 7}},
+	}}
+	fixtureBatchResponse = BatchResponse{
+		Responses: []PredictResponse{{NF: "A", Backend: "yala", SoloPPS: 1}, {}},
+		Errors:    []string{"", "bad model"},
+	}
+	fixtureError    = ErrorFrame{Status: 429, Code: "resource_exhausted", Message: "shed", RequestID: "wire-000001", RetryAfterSec: 2}
+	fixtureCall     = Call{Method: "POST", URI: "/v2/models/A/yala:predict", ContentType: "application/json", RequestID: "gw-000001", Body: []byte(`{}`)}
+	fixtureCallResp = CallResp{Status: 200, Headers: []HeaderKV{{"Content-Type", "application/json"}}, Body: []byte(`{"ok":true}`)}
+)
+
+func TestPredictRequestRoundTrip(t *testing.T) {
+	in := fixturePredictRequest
 	buf := AppendPredictRequest(GetBuf(), &in)
 	out, err := DecodePredictRequest(buf)
 	PutBuf(buf)
@@ -95,18 +124,7 @@ func TestPredictRequestRoundTrip(t *testing.T) {
 }
 
 func TestPredictResponseRoundTrip(t *testing.T) {
-	in := PredictResponse{
-		NF:           "ACL",
-		Backend:      "slomo",
-		Profile:      Profile{Flows: 5000, PktSize: 1500},
-		SoloPPS:      1.5e6,
-		PredictedPPS: 7.2e5,
-		Bottleneck:   "dram",
-		PerResource: []ResourcePPS{
-			{Resource: "dram", PPS: 7.2e5},
-			{Resource: "llc", PPS: 9e5},
-		},
-	}
+	in := fixturePredictResponse
 	buf := AppendPredictResponse(GetBuf(), &in)
 	out, err := DecodePredictResponse(buf)
 	PutBuf(buf)
@@ -119,10 +137,7 @@ func TestPredictResponseRoundTrip(t *testing.T) {
 }
 
 func TestBatchRoundTrip(t *testing.T) {
-	req := BatchRequest{Requests: []PredictRequest{
-		{NF: "A", Backend: "yala"},
-		{NF: "B", Backend: "slomo", Profile: Profile{Flows: 7}},
-	}}
+	req := fixtureBatchRequest
 	buf := AppendBatchRequest(GetBuf(), &req)
 	gotReq, err := DecodeBatchRequest(buf)
 	PutBuf(buf)
@@ -130,10 +145,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatalf("batch request round trip: %+v (err %v)", gotReq, err)
 	}
 
-	resp := BatchResponse{
-		Responses: []PredictResponse{{NF: "A", Backend: "yala", SoloPPS: 1}, {}},
-		Errors:    []string{"", "bad model"},
-	}
+	resp := fixtureBatchResponse
 	buf = AppendBatchResponse(GetBuf(), &resp)
 	gotResp, err := DecodeBatchResponse(buf)
 	PutBuf(buf)
@@ -152,7 +164,7 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 func TestErrorAndCallRoundTrip(t *testing.T) {
-	e := ErrorFrame{Status: 429, Code: "resource_exhausted", Message: "shed", RequestID: "wire-000001", RetryAfterSec: 2}
+	e := fixtureError
 	buf := AppendError(GetBuf(), &e)
 	gotE, err := DecodeError(buf)
 	PutBuf(buf)
@@ -160,7 +172,7 @@ func TestErrorAndCallRoundTrip(t *testing.T) {
 		t.Fatalf("error round trip: %+v (err %v)", gotE, err)
 	}
 
-	c := Call{Method: "POST", URI: "/v2/models/A/yala:predict", ContentType: "application/json", RequestID: "gw-000001", Body: []byte(`{}`)}
+	c := fixtureCall
 	buf = AppendCall(GetBuf(), &c)
 	gotC, err := DecodeCall(buf)
 	PutBuf(buf)
@@ -168,7 +180,7 @@ func TestErrorAndCallRoundTrip(t *testing.T) {
 		t.Fatalf("call round trip: %+v (err %v)", gotC, err)
 	}
 
-	cr := CallResp{Status: 200, Headers: []HeaderKV{{"Content-Type", "application/json"}}, Body: []byte(`{"ok":true}`)}
+	cr := fixtureCallResp
 	buf = AppendCallResp(GetBuf(), &cr)
 	gotCR, err := DecodeCallResp(buf)
 	PutBuf(buf)

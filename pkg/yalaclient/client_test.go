@@ -39,8 +39,9 @@ func TestWithTimeoutOrderSafe(t *testing.T) {
 	}
 }
 
-// TestAPIErrorDecoding covers both envelope shapes and the raw-status
-// fallback.
+// TestAPIErrorDecoding covers the /v2 envelope and the raw-status
+// fallback, which any other body — including the retired flat
+// {"error": "..."} shape — takes.
 func TestAPIErrorDecoding(t *testing.T) {
 	var body atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -59,8 +60,8 @@ func TestAPIErrorDecoding(t *testing.T) {
 
 	body.Store(`{"error":"flat message"}`)
 	_, err = c.Predict(context.Background(), ModelID{NF: "x"}, "", PredictParams{})
-	if !errors.As(err, &apiErr) || apiErr.Message != "flat message" || apiErr.Code != "" {
-		t.Fatalf("v1 envelope decoded as %v", err)
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || apiErr.Message != "" || apiErr.Code != "" {
+		t.Fatalf("flat error body decoded as %v, want the raw-status fallback", err)
 	}
 
 	body.Store(`not json at all`)

@@ -1,12 +1,12 @@
 package yalaclient
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // MetricPoint is one sample from a Prometheus text exposition:
@@ -72,67 +72,28 @@ func (p MetricPoint) Label(key string) string {
 	return ""
 }
 
-// ScrapeMetrics parses a Prometheus text exposition (version 0.0.4).
-// The parser is deliberately tolerant: comment and TYPE lines are
-// skipped, malformed lines are dropped, and an optional trailing
-// timestamp is ignored — a scrape should degrade, not fail, when a
-// server adds series this client predates.
+// ScrapeMetrics parses a Prometheus text exposition (version 0.0.4)
+// with the same tolerant parser the gateway merges replica scrapes with
+// (obs.ParseExposition): comment and TYPE lines are skipped, malformed
+// lines are dropped, and an optional trailing timestamp is ignored — a
+// scrape should degrade, not fail, when a server adds series this
+// client predates. Input the parser cannot read at all (a line over
+// 1 MiB) yields an empty snapshot.
 func ScrapeMetrics(data string) MetricsSnapshot {
-	var snap MetricsSnapshot
-	sc := bufio.NewScanner(strings.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		name, labels, rest, ok := splitMetricLine(line)
-		if !ok {
-			continue
-		}
-		fields := strings.Fields(rest)
-		if len(fields) == 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
-			continue
-		}
-		snap.Points = append(snap.Points, MetricPoint{Name: name, Labels: labels, Value: v})
+	exp, err := obs.ParseExposition(strings.NewReader(data))
+	if err != nil {
+		return MetricsSnapshot{}
 	}
-	return snap
+	return snapshotOf(exp)
 }
 
-// splitMetricLine splits `name{labels} value [ts]` or `name value [ts]`
-// into its parts, honoring quotes and escapes inside the label block.
-func splitMetricLine(line string) (name, labels, rest string, ok bool) {
-	if brace := strings.IndexByte(line, '{'); brace >= 0 && brace < strings.IndexByte(line+" ", ' ') {
-		name = line[:brace]
-		inQuote := false
-		for i := brace + 1; i < len(line); i++ {
-			c := line[i]
-			if inQuote {
-				if c == '\\' {
-					i++
-				} else if c == '"' {
-					inQuote = false
-				}
-				continue
-			}
-			switch c {
-			case '"':
-				inQuote = true
-			case '}':
-				return name, line[brace+1 : i], line[i+1:], true
-			}
-		}
-		return "", "", "", false
+// snapshotOf maps parsed exposition samples to MetricPoints.
+func snapshotOf(exp *obs.Exposition) MetricsSnapshot {
+	var snap MetricsSnapshot
+	for _, sm := range exp.Samples {
+		snap.Points = append(snap.Points, MetricPoint{Name: sm.Name, Labels: sm.Labels, Value: sm.Value})
 	}
-	sp := strings.IndexAny(line, " \t")
-	if sp < 0 {
-		return "", "", "", false
-	}
-	return line[:sp], "", line[sp:], true
+	return snap
 }
 
 // Metrics scrapes and parses the server's GET /metrics. Pointed at a
@@ -151,15 +112,9 @@ func (c *Client) Metrics(ctx context.Context) (MetricsSnapshot, error) {
 	if resp.StatusCode != http.StatusOK {
 		return MetricsSnapshot{}, fmt.Errorf("yalaclient: GET /metrics: status %d", resp.StatusCode)
 	}
-	var sb strings.Builder
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		sb.WriteString(sc.Text())
-		sb.WriteByte('\n')
-	}
-	if err := sc.Err(); err != nil {
+	exp, err := obs.ParseExposition(resp.Body)
+	if err != nil {
 		return MetricsSnapshot{}, err
 	}
-	return ScrapeMetrics(sb.String()), nil
+	return snapshotOf(exp), nil
 }
