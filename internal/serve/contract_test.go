@@ -181,6 +181,43 @@ func TestV2Contract(t *testing.T) {
 	}
 }
 
+// TestV1RoutesRemoved pins that every former /v1 route now falls through
+// to the catch-all: a structured not_found 404 with an X-Request-Id and
+// neither the Deprecation nor the successor Link header /v1 once sent.
+func TestV1RoutesRemoved(t *testing.T) {
+	ts := testServer(t)
+	routes := []struct{ method, path, body string }{
+		{"POST", "/v1/predict", `{"nf":"FlowStats"}`},
+		{"POST", "/v1/predict/batch", `{"requests":[{"nf":"FlowStats"}]}`},
+		{"POST", "/v1/compare", `{"nf":"FlowStats"}`},
+		{"POST", "/v1/admit", `{"candidate":{"name":"FlowStats","sla":0.5}}`},
+		{"POST", "/v1/diagnose", `{"nf":"FlowStats"}`},
+		{"POST", "/v1/reload", `{"nf":"FlowStats"}`},
+		{"GET", "/v1/models", ""},
+		{"GET", "/v1/stats", ""},
+		{"GET", "/v1/cluster/policies", ""},
+	}
+	for _, rt := range routes {
+		resp, body := roundTrip(t, ts, rt.method, rt.path, rt.body)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", rt.method, rt.path, resp.StatusCode)
+		}
+		var env errorBodyV2
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != codeNotFound {
+			t.Errorf("%s %s: body %s is not a not_found envelope", rt.method, rt.path, body)
+		}
+		if dep := resp.Header.Get("Deprecation"); dep != "" {
+			t.Errorf("%s %s: unexpected Deprecation header %q", rt.method, rt.path, dep)
+		}
+		if link := resp.Header.Get("Link"); link != "" {
+			t.Errorf("%s %s: unexpected Link header %q", rt.method, rt.path, link)
+		}
+		if rid := resp.Header.Get("X-Request-Id"); rid == "" {
+			t.Errorf("%s %s: missing X-Request-Id", rt.method, rt.path)
+		}
+	}
+}
+
 // requestIDPat normalizes the per-request IDs inside golden fixtures;
 // trainedAtPat normalizes the wall-clock training timestamps model
 // listings carry (the fixture pins that the field is present, not when
