@@ -18,9 +18,10 @@
 // The mutating custom method (:reload) fans out to every replica so no
 // replica serves a stale model; a replica that misses a fan-out while
 // down has the reload queued and replayed by the health loop when it
-// recovers, so it never rejoins stale. :batchPredict scatters its
-// elements to their home replicas in per-replica sub-batches and
-// gathers the responses back in request order.
+// recovers, so it never rejoins stale. :batchPredict and /v2/ingest
+// share one scatter: elements go to their home replicas in per-replica
+// sub-batches, and the answers gather back (responses in request order,
+// accept counts summed).
 //
 // The gateway also keeps an edge response cache (the same sharded LRU
 // the replicas use): deterministic 200s for the model-scoped custom
@@ -46,6 +47,7 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -494,8 +496,9 @@ func modelKey(nf, hw, backendName string) string {
 }
 
 // Handler exposes the gateway over HTTP. Everything not handled locally
-// (health, gateway stats, aggregate stats, batch scatter) proxies to a
-// replica chosen by the request's routing key.
+// (health, metrics, gateway stats, aggregate stats, batch scatter,
+// ingest scatter) proxies to a replica chosen by the request's routing
+// key.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
@@ -937,6 +940,31 @@ func (g *Gateway) writeError(w http.ResponseWriter, status int, code, message st
 	})
 }
 
+// eachHealthy runs fn concurrently on every attached, healthy replica,
+// each call bounded by HealthTimeout under ctx, and returns when all
+// have. i is the slot index, so fn can fill a slot-indexed result
+// without locking. It returns the endpoint snapshot the calls used (nil
+// for a vacant slot) for callers that report per slot afterwards.
+func (g *Gateway) eachHealthy(ctx context.Context, fn func(ctx context.Context, i int, ep *endpoint)) []*endpoint {
+	eps := make([]*endpoint, len(g.replicas))
+	var wg sync.WaitGroup
+	for i, rep := range g.replicas {
+		eps[i] = rep.ep.Load()
+		if eps[i] == nil || !rep.healthy.Load() {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, ep *endpoint) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
+			defer cancel()
+			fn(ctx, i, ep)
+		}(i, eps[i])
+	}
+	wg.Wait()
+	return eps
+}
+
 // handleGatewayStats serves the gateway's own operator snapshot
 // (GET /v2/gateway/stats), wire-shaped as yalaclient.GatewayStats. Each
 // healthy replica is asked for its live cache size so operators can
@@ -952,26 +980,15 @@ func (g *Gateway) handleGatewayStats(w http.ResponseWriter, r *http.Request) {
 	es := g.edge.Stats()
 	out.EdgeHits, out.EdgeMisses, out.EdgeEntries = es.Hits, es.Misses, es.Entries
 
-	eps := make([]*endpoint, len(g.replicas))
 	entries := make([]int, len(g.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range g.replicas {
+	for i := range entries {
 		entries[i] = -1
-		eps[i] = rep.ep.Load()
-		if eps[i] == nil || !rep.healthy.Load() {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, ep *endpoint) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), g.cfg.HealthTimeout)
-			defer cancel()
-			if st, err := ep.client.Stats(ctx); err == nil {
-				entries[i] = st.Cache.Entries
-			}
-		}(i, eps[i])
 	}
-	wg.Wait()
+	eps := g.eachHealthy(r.Context(), func(ctx context.Context, i int, ep *endpoint) {
+		if st, err := ep.client.Stats(ctx); err == nil {
+			entries[i] = st.Cache.Entries
+		}
+	})
 	for i, rep := range g.replicas {
 		ep := eps[i]
 		if ep == nil {
@@ -1016,38 +1033,22 @@ func (g *Gateway) handleGatewayStats(w http.ResponseWriter, r *http.Request) {
 // sum to aggregate capacity, the model list and backend set are unions,
 // uptime is the oldest replica's.
 func (g *Gateway) handleAggregateStats(w http.ResponseWriter, r *http.Request) {
-	type fetched struct {
-		st  yalaclient.Stats
-		err error
-	}
-	results := make([]fetched, len(g.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range g.replicas {
-		results[i].err = fmt.Errorf("unhealthy")
-		ep := rep.ep.Load()
-		if ep == nil || !rep.healthy.Load() {
-			continue
+	fetched := make([]*yalaclient.Stats, len(g.replicas)) // nil: no answer
+	g.eachHealthy(r.Context(), func(ctx context.Context, i int, ep *endpoint) {
+		if st, err := ep.client.Stats(ctx); err == nil {
+			fetched[i] = &st
 		}
-		wg.Add(1)
-		go func(i int, ep *endpoint) {
-			defer wg.Done()
-			ctx, cancel := context.WithTimeout(r.Context(), g.cfg.HealthTimeout)
-			defer cancel()
-			results[i].st, results[i].err = ep.client.Stats(ctx)
-		}(i, ep)
-	}
-	wg.Wait()
+	})
 
 	agg := yalaclient.Stats{Requests: map[string]uint64{}}
 	models := map[string]yalaclient.ModelInfo{}
 	backends := map[string]bool{}
 	answered := 0
-	for _, res := range results {
-		if res.err != nil {
+	for _, st := range fetched {
+		if st == nil {
 			continue
 		}
 		answered++
-		st := res.st
 		// Uptime is the oldest replica's and start time the earliest —
 		// never a sum: five replicas up an hour each is still an
 		// hour-old fleet.
@@ -1135,47 +1136,59 @@ func (g *Gateway) handleAggregateStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, agg)
 }
 
-// handleBatchScatter splits a :batchPredict body by each element's
-// routing key, issues the per-replica sub-batches concurrently, and
-// reassembles responses in request order — one client round trip fans
-// out to every shard at once instead of serializing N proxied calls.
-func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
+// subBatch is one home replica's share of an element-wise batch: the
+// client indices of its elements, the routing key that orders its
+// failover, and the replica's answer.
+type subBatch struct {
+	key    string
+	idxs   []int
+	status int
+	body   []byte
+	err    error
+}
+
+// scatter is the split–send–gather shared by the element-wise batch
+// verbs. It reads the {"<field>": [...]} envelope, groups the elements
+// by home replica — each ranks on its own (nf, hw, backend) key, so
+// every model (and the feedback about it) stays on its cache-hot shard —
+// and sends the per-replica sub-batches to path concurrently with
+// failover. A sub-batch that no replica answered becomes the 503/499 of
+// writeProxyError; a non-200 proxies back with its sub-batch indices
+// remapped to the client's. Otherwise scatter returns the sub-batches,
+// each holding a 200 body, and the client's element count; ok is false
+// when scatter has already written the response.
+func (g *Gateway) scatter(w http.ResponseWriter, r *http.Request, field, path string) (subs []*subBatch, n int, ok bool) {
 	g.requests.Add(1)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		g.writeError(w, http.StatusBadRequest, "invalid_argument", "reading request body: "+err.Error())
-		return
+		return nil, 0, false
 	}
-	var params struct {
-		Requests []json.RawMessage `json:"requests"`
-	}
+	// Decode the envelope with a replica's decodeV2 settings — a Decoder
+	// with DisallowUnknownFields into a struct whose one field is <field>
+	// — so a body the replica would reject (an unknown top-level key,
+	// say) is rejected here rather than dropped from the sub-batches.
+	env := reflect.New(reflect.StructOf([]reflect.StructField{{
+		Name: "Elems",
+		Type: reflect.TypeFor[[]json.RawMessage](),
+		Tag:  reflect.StructTag(`json:"` + field + `"`),
+	}}))
 	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &params); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(env.Interface()); err != nil {
 			g.writeError(w, http.StatusBadRequest, "invalid_argument", "decoding request body: "+err.Error())
-			return
+			return nil, 0, false
 		}
 	}
+	elems := env.Elem().Field(0).Interface().([]json.RawMessage)
 
-	// Group elements by home replica: each element ranks on its own
-	// (nf, hw, backend) key and joins the sub-batch of the top-ranked
-	// replica, so every model stays on its cache-hot shard. The group
-	// remembers its first element's key — the failover order for the
-	// whole sub-batch if that replica dies between grouping and send.
-	type elemID struct {
-		Model   string `json:"model"`
-		Backend string `json:"backend"`
-	}
-	type subBatch struct {
-		key    string
-		idxs   []int
-		status int
-		body   []byte
-		err    error
-	}
 	byReplica := map[*replica]*subBatch{}
-	var subs []*subBatch
-	for i, raw := range params.Requests {
-		var e elemID
+	for i, raw := range elems {
+		var e struct {
+			Model   string `json:"model"`
+			Backend string `json:"backend"`
+		}
 		// A malformed element still routes (somewhere); the replica owns
 		// validation and its whole-batch 400 proxies back.
 		_ = json.Unmarshal(raw, &e)
@@ -1184,11 +1197,13 @@ func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
 		ranked := g.rank(key)
 		if len(ranked) == 0 {
 			g.writeError(w, http.StatusServiceUnavailable, "unavailable", "no replica attached")
-			return
+			return nil, 0, false
 		}
+		// The group remembers its first element's key — the failover
+		// order for the whole sub-batch if its home dies before the send.
 		home := ranked[0].rep
-		sub, ok := byReplica[home]
-		if !ok {
+		sub, found := byReplica[home]
+		if !found {
 			sub = &subBatch{key: key}
 			byReplica[home] = sub
 			subs = append(subs, sub)
@@ -1200,37 +1215,49 @@ func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
 	for _, sub := range subs {
 		raws := make([]json.RawMessage, len(sub.idxs))
 		for j, idx := range sub.idxs {
-			raws[j] = params.Requests[idx]
+			raws[j] = elems[idx]
 		}
-		subBody, err := json.Marshal(map[string]any{"requests": raws})
+		subBody, err := json.Marshal(map[string]any{field: raws})
 		if err != nil {
 			g.writeError(w, http.StatusInternalServerError, "internal", err.Error())
-			return
+			return nil, 0, false
 		}
 		wg.Add(1)
 		go func(sub *subBatch, subBody []byte) {
 			defer wg.Done()
-			_, sub.status, _, sub.body, sub.err = g.sendWithFailover(r.Context(), sub.key, http.MethodPost, "/v2/models:batchPredict", "application/json", subBody)
+			_, sub.status, _, sub.body, sub.err = g.sendWithFailover(r.Context(), sub.key, http.MethodPost, path, "application/json", subBody)
 		}(sub, subBody)
 	}
 	wg.Wait()
 
-	responses := make([]json.RawMessage, len(params.Requests))
-	errs := make([]string, len(params.Requests))
-	anyErr := false
 	for _, sub := range subs {
 		if sub.err != nil {
-			g.writeProxyError(w, r, fmt.Errorf("sub-batch failed on every replica: %w", sub.err))
-			return
+			g.writeProxyError(w, r, fmt.Errorf("%s sub-batch failed on every replica: %w", path, sub.err))
+			return nil, 0, false
 		}
 		if sub.status != http.StatusOK {
-			// The replica's whole-batch error names sub-batch indices;
-			// remap them to the client's before proxying the status.
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(sub.status)
-			w.Write(remapIndices(sub.body, "requests[", sub.idxs))
-			return
+			w.Write(remapIndices(sub.body, field+"[", sub.idxs))
+			return nil, 0, false
 		}
+	}
+	return subs, len(elems), true
+}
+
+// handleBatchScatter serves :batchPredict through scatter — one client
+// round trip fans out to every shard at once instead of serializing N
+// proxied calls — and reassembles responses and per-element errors in
+// request order.
+func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
+	subs, n, ok := g.scatter(w, r, "requests", "/v2/models:batchPredict")
+	if !ok {
+		return
+	}
+	responses := make([]json.RawMessage, n)
+	errs := make([]string, n)
+	anyErr := false
+	for _, sub := range subs {
 		var decoded struct {
 			Responses []json.RawMessage `json:"responses"`
 			Errors    []string          `json:"errors"`
@@ -1251,108 +1278,23 @@ func (g *Gateway) handleBatchScatter(w http.ResponseWriter, r *http.Request) {
 		Responses []json.RawMessage `json:"responses"`
 		Errors    []string          `json:"errors,omitempty"`
 	}{Responses: responses}
-	if out.Responses == nil {
-		out.Responses = []json.RawMessage{}
-	}
 	if anyErr {
 		out.Errors = errs
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleIngestScatter splits a /v2/ingest body by each measurement's
-// routing key and issues per-replica sub-batches concurrently, so every
+// handleIngestScatter serves /v2/ingest through scatter, so every
 // measurement lands on its model's home replica — the one whose
 // feedback window, shadow candidate and predict cache describe that
 // model. Responses sum: the client sees one fleet-wide accept count.
 func (g *Gateway) handleIngestScatter(w http.ResponseWriter, r *http.Request) {
-	g.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		g.writeError(w, http.StatusBadRequest, "invalid_argument", "reading request body: "+err.Error())
+	subs, _, ok := g.scatter(w, r, "measurements", "/v2/ingest")
+	if !ok {
 		return
 	}
-	var params struct {
-		Measurements []json.RawMessage `json:"measurements"`
-	}
-	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &params); err != nil {
-			g.writeError(w, http.StatusBadRequest, "invalid_argument", "decoding request body: "+err.Error())
-			return
-		}
-	}
-
-	// Group measurements by home replica on the same (nf, hw, backend)
-	// key predictions route by — feedback must accumulate where the
-	// model serves.
-	type elemID struct {
-		Model   string `json:"model"`
-		Backend string `json:"backend"`
-	}
-	type subBatch struct {
-		key    string
-		idxs   []int
-		status int
-		body   []byte
-		err    error
-	}
-	byReplica := map[*replica]*subBatch{}
-	var subs []*subBatch
-	for i, raw := range params.Measurements {
-		var e elemID
-		// A malformed measurement still routes (somewhere); the replica
-		// owns validation and its whole-batch 400 proxies back.
-		_ = json.Unmarshal(raw, &e)
-		nf, hw := splitModelID(e.Model)
-		key := modelKey(nf, hw, e.Backend)
-		ranked := g.rank(key)
-		if len(ranked) == 0 {
-			g.writeError(w, http.StatusServiceUnavailable, "unavailable", "no replica attached")
-			return
-		}
-		home := ranked[0].rep
-		sub, ok := byReplica[home]
-		if !ok {
-			sub = &subBatch{key: key}
-			byReplica[home] = sub
-			subs = append(subs, sub)
-		}
-		sub.idxs = append(sub.idxs, i)
-	}
-
-	var wg sync.WaitGroup
-	for _, sub := range subs {
-		raws := make([]json.RawMessage, len(sub.idxs))
-		for j, idx := range sub.idxs {
-			raws[j] = params.Measurements[idx]
-		}
-		subBody, err := json.Marshal(map[string]any{"measurements": raws})
-		if err != nil {
-			g.writeError(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
-		wg.Add(1)
-		go func(sub *subBatch, subBody []byte) {
-			defer wg.Done()
-			_, sub.status, _, sub.body, sub.err = g.sendWithFailover(r.Context(), sub.key, http.MethodPost, "/v2/ingest", "application/json", subBody)
-		}(sub, subBody)
-	}
-	wg.Wait()
-
 	var accepted, quarantined int
 	for _, sub := range subs {
-		if sub.err != nil {
-			g.writeProxyError(w, r, fmt.Errorf("ingest sub-batch failed on every replica: %w", sub.err))
-			return
-		}
-		if sub.status != http.StatusOK {
-			// The replica's error names sub-batch indices; remap them to
-			// the client's before proxying the status.
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(sub.status)
-			w.Write(remapIndices(sub.body, "measurements[", sub.idxs))
-			return
-		}
 		var res struct {
 			Accepted    int `json:"accepted"`
 			Quarantined int `json:"quarantined"`

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,12 @@ func testGateway(t *testing.T, edgeEntries int, stubs ...*stubReplica) (*Gateway
 	for i, s := range stubs {
 		urls[i] = s.url()
 	}
+	return testGatewayURLs(t, edgeEntries, urls...)
+}
+
+// testGatewayURLs is testGateway over arbitrary replica base URLs.
+func testGatewayURLs(t *testing.T, edgeEntries int, urls ...string) (*Gateway, *httptest.Server) {
+	t.Helper()
 	g, err := New(Config{
 		Backends:         urls,
 		HealthInterval:   20 * time.Millisecond,
@@ -515,6 +522,86 @@ func TestIngestScatter(t *testing.T) {
 		`{"measurements":[{"model":"A","measured_pps":1},{"model":"A","measured_pps":1},{"model":"A","measured_pps":-5}]}`)
 	if status != http.StatusBadRequest || !strings.Contains(body, "measurements[2]") {
 		t.Fatalf("remapped ingest error: %d %s", status, body)
+	}
+}
+
+// TestScatterRejectsUnknownEnvelopeField: the gateway decodes a batch
+// envelope exactly as a replica does, so an unknown top-level field is
+// the replica's invalid_argument 400 — not silently dropped from the
+// re-marshalled sub-batches and answered 200.
+func TestScatterRejectsUnknownEnvelopeField(t *testing.T) {
+	for _, tc := range []struct{ name, path, body string }{
+		{"batch", "/v2/models:batchPredict", `{"requests":[{"model":"A"}],"typo":1}`},
+		{"ingest", "/v2/ingest", `{"measurements":[{"model":"A","measured_pps":1000}],"typo":1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newStubReplica(t, "a")
+			_, ts := testGateway(t, -1, a)
+			status, body := post(t, ts.URL+tc.path, tc.body)
+			if status != http.StatusBadRequest || !strings.Contains(body, `"invalid_argument"`) {
+				t.Fatalf("unknown envelope field: %d %s, want an invalid_argument 400", status, body)
+			}
+			if n := a.pathCount(tc.path); n != 0 {
+				t.Fatalf("rejected batch still reached the replica %d times", n)
+			}
+		})
+	}
+}
+
+// TestScatterErrorPaths covers the shared scatter's failure answers for
+// both verbs: no replica reachable is a 503, and a replica 200 the
+// gateway cannot gather is a 502.
+func TestScatterErrorPaths(t *testing.T) {
+	verbs := []struct{ name, path, body string }{
+		{"batch", "/v2/models:batchPredict", `{"requests":[{"model":"A"},{"model":"B"}]}`},
+		{"ingest", "/v2/ingest", `{"measurements":[{"model":"A","measured_pps":1000},{"model":"B","measured_pps":1000}]}`},
+	}
+	// answering builds a replica that answers every non-health request
+	// 200 with reply.
+	answering := func(t *testing.T, reply string) string {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/healthz" {
+				w.Write([]byte("ok\n"))
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, reply)
+		}))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	cases := []struct {
+		name    string
+		verbs   []string // verb names the case applies to; nil means both
+		replica func(t *testing.T) string
+		status  int
+		code    string
+	}{
+		{"unreachable", nil, func(t *testing.T) string {
+			s := newStubReplica(t, "down")
+			s.stop()
+			return s.url()
+		}, http.StatusServiceUnavailable, "unavailable"},
+		{"malformed_body", nil, func(t *testing.T) string {
+			return answering(t, "not json")
+		}, http.StatusBadGateway, "internal"},
+		{"wrong_response_count", []string{"batch"}, func(t *testing.T) string {
+			return answering(t, `{"responses":[]}`)
+		}, http.StatusBadGateway, "internal"},
+	}
+	for _, tc := range cases {
+		for _, v := range verbs {
+			if tc.verbs != nil && !slices.Contains(tc.verbs, v.name) {
+				continue
+			}
+			t.Run(tc.name+"/"+v.name, func(t *testing.T) {
+				_, ts := testGatewayURLs(t, -1, tc.replica(t), tc.replica(t))
+				status, body := post(t, ts.URL+v.path, v.body)
+				if status != tc.status || !strings.Contains(body, fmt.Sprintf(`"code":%q`, tc.code)) {
+					t.Fatalf("got %d %s, want %d %s", status, body, tc.status, tc.code)
+				}
+			})
+		}
 	}
 }
 

@@ -1,11 +1,12 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -88,39 +89,33 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // scrapeReplicas fetches and parses every healthy replica's /metrics.
+// The read is capped at maxBodyBytes like send's: the parser bounds a
+// line, not a line count, so an oversized exposition is dropped whole —
+// that replica is absent from the scrape — rather than truncated or
+// buffered without limit.
 func (g *Gateway) scrapeReplicas(ctx context.Context) []*obs.Exposition {
 	exps := make([]*obs.Exposition, len(g.replicas))
-	var wg sync.WaitGroup
-	for i, rep := range g.replicas {
-		ep := rep.ep.Load()
-		if ep == nil || !rep.healthy.Load() {
-			continue
+	g.eachHealthy(ctx, func(ctx context.Context, i int, ep *endpoint) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ep.url+"/metrics", nil)
+		if err != nil {
+			return
 		}
-		wg.Add(1)
-		go func(i int, ep *endpoint) {
-			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, g.cfg.HealthTimeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(sctx, http.MethodGet, ep.url+"/metrics", nil)
-			if err != nil {
-				return
-			}
-			resp, err := g.httpc.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			exp, err := obs.ParseExposition(resp.Body)
-			if err != nil {
-				return
-			}
+		resp, err := g.httpc.Do(req)
+		if err != nil {
+			return
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return
+		}
+		data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+		if err != nil || len(data) > maxBodyBytes {
+			return
+		}
+		if exp, err := obs.ParseExposition(bytes.NewReader(data)); err == nil {
 			exps[i] = exp
-		}(i, ep)
-	}
-	wg.Wait()
+		}
+	})
 	return exps
 }
 

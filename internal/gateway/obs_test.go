@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -197,5 +198,43 @@ func TestGatewayMetricsAggregation(t *testing.T) {
 	vb, _ := exp.Value("gateway_upstream_seconds_count", b.url())
 	if va+vb < 2 {
 		t.Fatalf("upstream latency histograms recorded %g+%g observations, want >= 2", va, vb)
+	}
+}
+
+// TestGatewayMetricsDropsOversizedScrape: a replica exposition larger
+// than the gateway's body cap is dropped whole — its samples are absent
+// from the merged /metrics — while the rest of the fleet still merges.
+func TestGatewayMetricsDropsOversizedScrape(t *testing.T) {
+	a := newStubReplica(t, "a")
+	// Valid series, each line under the parser's 1 MiB line cap, adding
+	// up to more than maxBodyBytes.
+	label := strings.Repeat("x", 512<<10)
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/metrics" {
+			w.Write([]byte("ok\n"))
+			return
+		}
+		fmt.Fprint(w, "# TYPE yala_oversized_total counter\n")
+		for i := 0; i*len(label) <= maxBodyBytes; i++ {
+			fmt.Fprintf(w, "yala_oversized_total{i=\"%d\",pad=%q} 1\n", i, label)
+		}
+	}))
+	t.Cleanup(big.Close)
+	_, ts := testGatewayURLs(t, -1, a.url(), big.URL)
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "yala_oversized_total") {
+		t.Fatalf("merged /metrics (%d bytes) carries the oversized replica's samples", len(data))
+	}
+	if !strings.Contains(string(data), "yala_requests_total") {
+		t.Fatal("merged /metrics lost the healthy replica's samples")
 	}
 }
